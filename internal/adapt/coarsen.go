@@ -33,24 +33,29 @@ type CoarsenStats struct {
 // edges whose elements have no parent are simply ignored.
 func (a *Adaptor) Coarsen() CoarsenStats {
 	var st CoarsenStats
+	a.coarsenRemove(&st)
+	st.Rerefine = a.Refine()
+	return st
+}
 
+// coarsenRemove runs the removal half of Coarsen: group removal, cleanup
+// and mark consumption, leaving the mesh for the re-refinement.
+func (a *Adaptor) coarsenRemove(st *CoarsenStats) {
 	// --- Phase 1: remove targeted sibling groups, deepest first, looping
 	// so that multi-level trees unwind. ---
 	for {
-		n := a.removeElemGroups(&st)
-		nf := a.removeFaceGroups(&st)
+		n := a.removeElemGroups(st)
+		nf := a.removeFaceGroups(st)
 		if n+nf == 0 {
 			break
 		}
 	}
 
 	// --- Phase 2: purge orphaned edges and vertices. ---
-	a.cleanup(&st)
+	a.cleanup(st)
 
-	// --- Phase 3: consume coarsen marks and restore validity. ---
+	// --- Phase 3: consume coarsen marks (Coarsen then restores validity). ---
 	a.clearMark(MarkCoarsen)
-	st.Rerefine = a.Refine()
-	return st
 }
 
 // removeElemGroups does one sweep removing sibling groups triggered by
@@ -145,7 +150,7 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 	m := a.M
 
 	// Edges referenced by active boundary faces must survive.
-	protected := make(map[mesh.EdgeID]bool)
+	protected := make([]bool, len(m.Edges))
 	for fi := range m.Faces {
 		f := &m.Faces[fi]
 		if !f.Active() {
@@ -183,7 +188,7 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 			// created fresh; initial-mesh edges always retain incident
 			// elements, so an element-free, face-free, parent-free edge is
 			// refinement garbage.
-			if ed.Parent == mesh.InvalidEdge && len(ed.Elems) == 0 && !protected[mesh.EdgeID(ei)] {
+			if ed.Parent == mesh.InvalidEdge && len(ed.Elems) == 0 && !protected[ei] {
 				v0, v1 := ed.V[0], ed.V[1]
 				m.KillEdge(mesh.EdgeID(ei))
 				st.EdgesPurged++
@@ -202,7 +207,7 @@ func (a *Adaptor) cleanup(st *CoarsenStats) {
 // edgeUnused reports whether e can be purged: live, not further bisected,
 // bounding no active element, and not referenced by an active boundary
 // face.
-func (a *Adaptor) edgeUnused(e mesh.EdgeID, protected map[mesh.EdgeID]bool) bool {
+func (a *Adaptor) edgeUnused(e mesh.EdgeID, protected []bool) bool {
 	ed := &a.M.Edges[e]
 	return !ed.Dead && !ed.Bisected() && len(ed.Elems) == 0 && !protected[e]
 }

@@ -60,6 +60,20 @@ func (k Kind) String() string {
 	return "invalid"
 }
 
+// Children returns the number of child elements a subdivision of kind k
+// creates.
+func (k Kind) Children() int {
+	switch k {
+	case KindHalf:
+		return 2
+	case KindQuarter:
+		return 4
+	case KindFull:
+		return 8
+	}
+	return 0
+}
+
 // Valid reports whether p is one of the allowed subdivision patterns:
 // no edges, exactly one edge, the three edges of one face, or all six.
 func (p Pattern) Valid() bool {

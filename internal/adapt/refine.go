@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"plum/internal/mesh"
 )
@@ -73,6 +74,54 @@ func (a *Adaptor) refineRound() RefineStats {
 	m := a.M
 
 	// --- Phase 1: marking propagation to a fixpoint. ---
+	st.Propagations = a.propagateMarks()
+
+	// --- Phase 2: size the round and reserve the slabs it appends to. ---
+	sz, splits := a.sizeRound()
+	m.Reserve(sz.verts, sz.edges, sz.elems, sz.faces)
+
+	// --- Phase 3: bisect all targeted edges. ---
+	// Only edges marked before this loop matter; BisectEdge creates new
+	// edges (never marked) so iterating the snapshot is safe.
+	nMarks := len(a.marks)
+	for e := 0; e < nMarks; e++ {
+		if a.marks[e] != MarkRefine {
+			continue
+		}
+		ed := &m.Edges[e]
+		if ed.Dead {
+			continue
+		}
+		if !ed.Bisected() {
+			m.BisectEdge(mesh.EdgeID(e))
+			st.EdgesBisected++
+		}
+	}
+
+	// --- Phase 4: subdivide each element independently, in id order. ---
+	for _, sp := range splits {
+		if !sp.p.Valid() {
+			panic(fmt.Sprintf("adapt: element %d has invalid final pattern %06b", sp.el, sp.p))
+		}
+		kids := a.subdivideElem(sp.el, sp.p)
+		st.Subdivided[sp.p.Kind()]++
+		st.NewElems += kids
+	}
+
+	// --- Phase 5: split boundary faces to match their edges. ---
+	st.FacesSubdivided = a.refineFaces()
+
+	// --- Phase 6: consume the refine marks. ---
+	a.clearMark(MarkRefine)
+	return st
+}
+
+// propagateMarks upgrades every active element's pattern to a valid one,
+// marking further edges for refinement until no element changes, and
+// returns the number of element visits.
+func (a *Adaptor) propagateMarks() int {
+	m := a.M
+	visits := 0
 	// Seed the worklist with every active element whose pattern is
 	// nonzero; propagate upgrades through edge incidence lists.
 	queue := make([]mesh.ElemID, 0, 1024)
@@ -97,7 +146,7 @@ func (a *Adaptor) refineRound() RefineStats {
 		if !t.Active() {
 			continue
 		}
-		st.Propagations++
+		visits++
 		p := a.patternOf(t)
 		up := p.Upgrade()
 		add := up &^ p
@@ -118,55 +167,99 @@ func (a *Adaptor) refineRound() RefineStats {
 			}
 		}
 	}
+	return visits
+}
 
-	// --- Phase 2: bisect all targeted edges. ---
-	// Only edges marked before this loop matter; BisectEdge creates new
-	// edges (never marked) so iterating the snapshot is safe.
-	nMarks := len(a.marks)
-	for e := 0; e < nMarks; e++ {
-		if a.marks[e] != MarkRefine {
-			continue
-		}
-		ed := &m.Edges[e]
-		if ed.Dead {
-			continue
-		}
-		if !ed.Bisected() {
-			m.BisectEdge(mesh.EdgeID(e))
-			st.EdgesBisected++
+// split is an element a refinement round subdivides, with its final
+// pattern.
+type split struct {
+	el mesh.ElemID
+	p  Pattern
+}
+
+// faceSpokes[s][f] is the number of edges a face with s split edges, f
+// of them fresh (bisected this round), gains inside itself that touch a
+// fresh midpoint: one split edge gives the midpoint–opposite-vertex edge,
+// three give the three midpoint–midpoint edges. Any edge at a fresh
+// midpoint is new; edges between older midpoints may already exist (a
+// parent reinstated by coarsening) and are not counted.
+var faceSpokes = [4][4]int{1: {0, 1}, 3: {0, 2, 3, 3}}
+
+// childFaces[s] is the number of children a boundary face with s split
+// edges is divided into.
+var childFaces = [4]int{1: 2, 3: 4}
+
+// roundSize counts the objects one refinement round appends.
+type roundSize struct{ verts, edges, elems, faces int }
+
+// sizeRound counts what a round will append once propagation has settled
+// — one vertex and two half-edges per fresh bisection, the children of
+// every split element and boundary face, and the new edges inside split
+// faces and 1:8 octahedra — so the round can reserve exactly that much
+// slab capacity and append without regrowing. It also returns the active
+// elements to subdivide, in id order, with their final patterns.
+//
+// Each new face edge is seen from both sides of its face: from the two
+// elements sharing an interior face, or from the element and the boundary
+// face on the mesh surface. Summing the per-side counts and halving gives
+// every edge once. On a mesh that has only been refined every split edge
+// is fresh and the counts are exact. After coarsening, an interior face
+// can be met by a differently split face on the other side, and the edge
+// count may then fall short; it never exceeds what the round appends.
+func (a *Adaptor) sizeRound() (roundSize, []split) {
+	m := a.M
+	fresh := 0
+	for e, mk := range a.marks {
+		if ed := &m.Edges[e]; mk == MarkRefine && !ed.Dead && !ed.Bisected() {
+			fresh++
 		}
 	}
-
-	// --- Phase 3: subdivide each element independently. ---
-	nElems := len(m.Elems)
-	for ti := 0; ti < nElems; ti++ {
+	// patterns returns the split and fresh patterns of an edge list.
+	patterns := func(es []mesh.EdgeID) (sp, fr Pattern) {
+		for i, e := range es {
+			if m.Edges[e].Bisected() {
+				sp |= EdgeBit(i)
+			} else if a.MarkOf(e) == MarkRefine {
+				sp |= EdgeBit(i)
+				fr |= EdgeBit(i)
+			}
+		}
+		return sp, fr
+	}
+	var splits []split
+	elems, faces, sides := 0, 0, 0
+	for ti := range m.Elems {
 		t := &m.Elems[ti]
 		if !t.Active() {
 			continue
 		}
-		var p Pattern
-		for le, e := range t.E {
-			if m.Edges[e].Bisected() {
-				p |= EdgeBit(le)
-			}
-		}
+		p, fr := patterns(t.E[:])
 		if p == 0 {
 			continue
 		}
+		splits = append(splits, split{mesh.ElemID(ti), p})
 		if !p.Valid() {
-			panic(fmt.Sprintf("adapt: element %d has invalid final pattern %06b", ti, p))
+			continue // phase 4 panics on it
 		}
-		kids := a.subdivideElem(mesh.ElemID(ti), p)
-		st.Subdivided[p.Kind()]++
-		st.NewElems += kids
+		elems += p.Kind().Children()
+		for _, fp := range facePatterns {
+			sides += faceSpokes[bits.OnesCount8(uint8(p&fp))][bits.OnesCount8(uint8(fr&fp))]
+		}
+		if p == PatternFull && fr == PatternFull {
+			sides += 2 // the octahedron diagonal has no face; count both halves
+		}
 	}
-
-	// --- Phase 4: split boundary faces to match their edges. ---
-	st.FacesSubdivided = a.refineFaces()
-
-	// --- Phase 5: consume the refine marks. ---
-	a.clearMark(MarkRefine)
-	return st
+	for fi := range m.Faces {
+		f := &m.Faces[fi]
+		if !f.Active() {
+			continue
+		}
+		p, fr := patterns(f.E[:])
+		s := bits.OnesCount8(uint8(p))
+		faces += childFaces[s]
+		sides += faceSpokes[s][bits.OnesCount8(uint8(fr))]
+	}
+	return roundSize{fresh, 2*fresh + sides/2, elems, faces}, splits
 }
 
 // mid returns the midpoint vertex of the element's local edge le.

@@ -165,18 +165,29 @@ func BuildActive(m *mesh.Mesh) *Graph {
 // UpdateWeights recomputes Wcomp and Wremap from the mesh's current
 // refinement forest — this is the "translation" of an adapted grid onto
 // the constant dual graph. It assumes roots are exactly the level-0
-// elements in their original order (as produced by Build).
+// elements in their original order (as produced by Build), and panics if
+// a live element's Root is not one of them.
 func (g *Graph) UpdateWeights(m *mesh.Mesh) {
 	for i := range g.Wcomp {
 		g.Wcomp[i] = 0
 		g.Wremap[i] = 0
 	}
-	idx := make(map[mesh.ElemID]int32, g.N)
-	n := int32(0)
+	// idx maps a live level-0 element to its dual vertex and anything else
+	// to -1. Descendants are appended after their roots, so it need only
+	// reach the last root.
+	isRoot := func(t *mesh.Element) bool { return t.Level == 0 && !t.Dead }
+	hi := 0
 	for i := range m.Elems {
-		t := &m.Elems[i]
-		if t.Level == 0 && !t.Dead {
-			idx[mesh.ElemID(i)] = n
+		if isRoot(&m.Elems[i]) {
+			hi = i + 1
+		}
+	}
+	idx := make([]int32, hi)
+	n := int32(0)
+	for i := range idx {
+		idx[i] = -1
+		if isRoot(&m.Elems[i]) {
+			idx[i] = n
 			n++
 		}
 	}
@@ -187,6 +198,9 @@ func (g *Graph) UpdateWeights(m *mesh.Mesh) {
 		t := &m.Elems[i]
 		if t.Dead {
 			continue
+		}
+		if t.Root < 0 || int(t.Root) >= hi || idx[t.Root] < 0 {
+			panic(fmt.Sprintf("dual: element %d has root %d, which is not a live level-0 element", i, t.Root))
 		}
 		r := idx[t.Root]
 		g.Wremap[r]++

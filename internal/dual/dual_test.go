@@ -1,6 +1,8 @@
 package dual
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"plum/internal/adapt"
@@ -152,6 +154,33 @@ func TestUpdateWeightsPanicsOnWrongMesh(t *testing.T) {
 		}
 	}()
 	g.UpdateWeights(other)
+}
+
+// TestUpdateWeightsPanicsOnNonRootElement pins that an element whose Root
+// is not a live level-0 element is reported, naming the element and the
+// root, instead of adding its weight to some other dual vertex.
+func TestUpdateWeightsPanicsOnNonRootElement(t *testing.T) {
+	m := meshgen.SmallBox()
+	g := Build(m)
+	a := adapt.New(m)
+	a.MarkRegion(geom.All{}, adapt.MarkRefine)
+	a.Refine()
+	child := m.Elems[0].Children[0]
+	bad := m.Elems[0].Children[1] // a level-1 element, not a root
+	m.Elems[child].Root = bad
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("UpdateWeights accepted an element rooted at a non-root")
+		}
+		msg := fmt.Sprint(r)
+		for _, want := range []string{fmt.Sprintf("element %d", child), fmt.Sprintf("root %d", bad)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	g.UpdateWeights(m)
 }
 
 var _ = mesh.InvalidElem // keep import for doc-reference clarity

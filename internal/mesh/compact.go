@@ -87,7 +87,6 @@ func (m *Mesh) Compact() CompactMap {
 			es[j] = cm.Edge[e]
 		}
 	}
-	m.edgeByVerts = make(map[[2]VertID]EdgeID, len(m.Edges))
 	for i := range m.Edges {
 		ed := &m.Edges[i]
 		ed.V[0] = cm.Vert[ed.V[0]]
@@ -103,7 +102,6 @@ func (m *Mesh) Compact() CompactMap {
 			ed.Child[1] = cm.Edge[ed.Child[1]]
 			ed.Mid = cm.Vert[ed.Mid]
 		}
-		m.edgeByVerts[edgeKey(ed.V[0], ed.V[1])] = EdgeID(i)
 	}
 	for i := range m.Elems {
 		t := &m.Elems[i]
@@ -144,12 +142,20 @@ func (m *Mesh) Compact() CompactMap {
 		}
 		f.Children = kept
 	}
-	for i := range m.Bisections {
-		b := &m.Bisections[i]
-		b.Edge = cm.Edge[b.Edge]
-		b.A = cm.Vert[b.A]
-		b.B = cm.Vert[b.B]
-		b.Mid = cm.Vert[b.Mid]
+	// A logged bisection whose midpoint or an endpoint was dropped (its
+	// edge was coarsened away) can no longer be interpolated, so it leaves
+	// the log; one whose edge alone was dropped keeps InvalidEdge.
+	kept := m.Bisections[:0]
+	for _, b := range m.Bisections {
+		b.A, b.B, b.Mid = cm.Vert[b.A], cm.Vert[b.B], cm.Vert[b.Mid]
+		if b.A == InvalidVert || b.B == InvalidVert || b.Mid == InvalidVert {
+			continue
+		}
+		if b.Edge != InvalidEdge {
+			b.Edge = cm.Edge[b.Edge]
+		}
+		kept = append(kept, b)
 	}
+	m.Bisections = kept
 	return cm
 }

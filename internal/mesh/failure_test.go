@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -48,6 +49,14 @@ func TestCheckDetectsMissingIncidence(t *testing.T) {
 	m := validPair(t)
 	m.Edges[0].Elems = m.Edges[0].Elems[:0]
 	wantCheckError(t, m, "incidence")
+}
+
+func TestCheckDetectsForeignIncidenceEntry(t *testing.T) {
+	m := validPair(t)
+	// Right length, but the entry names an active element that does not
+	// use the edge: (0,1) belongs to element 0 only.
+	m.Edges[m.FindEdge(0, 1)].Elems[0] = 1
+	wantCheckError(t, m, "stale incidence entry")
 }
 
 func TestCheckDetectsDanglingVertexEdge(t *testing.T) {
@@ -108,4 +117,40 @@ func TestCheckDetectsFaceOverForeignEdge(t *testing.T) {
 	// Point the face at an edge with the wrong endpoints.
 	m.Faces[0].E[0] = m.FindEdge(2, 3)
 	wantCheckError(t, m, "face")
+}
+
+func TestCheckDetectsDuplicateEdge(t *testing.T) {
+	// A second live edge over an existing vertex pair: FindEdge's answer
+	// would depend on incidence-list order.
+	m := validPair(t)
+	e := m.FindEdge(0, 1)
+	dup := EdgeID(len(m.Edges))
+	m.Edges = append(m.Edges, Edge{
+		V:      m.Edges[e].V,
+		Parent: InvalidEdge,
+		Child:  [2]EdgeID{InvalidEdge, InvalidEdge},
+		Mid:    InvalidVert,
+	})
+	m.Verts[0].Edges = append(m.Verts[0].Edges, dup)
+	m.Verts[1].Edges = append(m.Verts[1].Edges, dup)
+	m.nActiveEdges++
+	wantCheckError(t, m, "duplicate edge")
+
+	// The same edge listed twice on one vertex.
+	m = validPair(t)
+	m.Verts[2].Edges = append(m.Verts[2].Edges, m.FindEdge(2, 3))
+	wantCheckError(t, m, "duplicate edge")
+}
+
+func TestCheckDetectsMissingVertexEdge(t *testing.T) {
+	m := validPair(t)
+	e := m.FindEdge(0, 1)
+	lst := m.Verts[1].Edges
+	for i, x := range lst {
+		if x == e {
+			m.Verts[1].Edges = append(lst[:i:i], lst[i+1:]...)
+			break
+		}
+	}
+	wantCheckError(t, m, fmt.Sprintf("edge %d: missing from vertex 1", e))
 }

@@ -173,8 +173,6 @@ type Mesh struct {
 	// call to ResetLog, used for solution interpolation.
 	Bisections []Bisection
 
-	edgeByVerts map[[2]VertID]EdgeID
-
 	nActiveElems int
 	nActiveEdges int
 	nActiveFaces int
@@ -184,11 +182,29 @@ type Mesh struct {
 // and nt elements.
 func New(nv, ne, nt int) *Mesh {
 	return &Mesh{
-		Verts:       make([]Vertex, 0, nv),
-		Edges:       make([]Edge, 0, ne),
-		Elems:       make([]Element, 0, nt),
-		edgeByVerts: make(map[[2]VertID]EdgeID, ne),
+		Verts: make([]Vertex, 0, nv),
+		Edges: make([]Edge, 0, ne),
+		Elems: make([]Element, 0, nt),
 	}
+}
+
+// Reserve makes room for nv more vertices, ne edges, nt elements and nf
+// boundary faces, so that appending them does not regrow the slabs. A
+// slab that is short is reallocated to exactly the capacity asked for.
+func (m *Mesh) Reserve(nv, ne, nt, nf int) {
+	m.Verts = reserve(m.Verts, nv)
+	m.Edges = reserve(m.Edges, ne)
+	m.Elems = reserve(m.Elems, nt)
+	m.Faces = reserve(m.Faces, nf)
+}
+
+func reserve[T any](s []T, n int) []T {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	g := make([]T, len(s), len(s)+n)
+	copy(g, s)
+	return g
 }
 
 // AddVertex appends a vertex at p and returns its id.
@@ -205,10 +221,20 @@ func edgeKey(a, b VertID) [2]VertID {
 }
 
 // FindEdge returns the edge connecting a and b, or InvalidEdge if none
-// exists.
+// exists. It walks the shorter of the two vertex incidence lists, which
+// hold exactly each vertex's live edges; Check verifies that, and that no
+// two live edges join the same pair of vertices.
 func (m *Mesh) FindEdge(a, b VertID) EdgeID {
-	if id, ok := m.edgeByVerts[edgeKey(a, b)]; ok {
-		return id
+	if a == b {
+		return InvalidEdge
+	}
+	if len(m.Verts[b].Edges) < len(m.Verts[a].Edges) {
+		a, b = b, a
+	}
+	for _, e := range m.Verts[a].Edges {
+		if v := m.Edges[e].V; v[0] == b || v[1] == b {
+			return e
+		}
 	}
 	return InvalidEdge
 }
@@ -220,18 +246,16 @@ func (m *Mesh) AddEdge(a, b VertID) EdgeID {
 	if a == b {
 		panic("mesh: degenerate edge")
 	}
-	key := edgeKey(a, b)
-	if id, ok := m.edgeByVerts[key]; ok {
+	if id := m.FindEdge(a, b); id != InvalidEdge {
 		return id
 	}
 	id := EdgeID(len(m.Edges))
 	m.Edges = append(m.Edges, Edge{
-		V:      key,
+		V:      edgeKey(a, b),
 		Parent: InvalidEdge,
 		Child:  [2]EdgeID{InvalidEdge, InvalidEdge},
 		Mid:    InvalidVert,
 	})
-	m.edgeByVerts[key] = id
 	m.Verts[a].Edges = append(m.Verts[a].Edges, id)
 	m.Verts[b].Edges = append(m.Verts[b].Edges, id)
 	m.nActiveEdges++
@@ -400,7 +424,6 @@ func (m *Mesh) KillEdge(e EdgeID) {
 			}
 		}
 	}
-	delete(m.edgeByVerts, edgeKey(ed.V[0], ed.V[1]))
 }
 
 // KillVertex marks vertex v dead. Its incidence list must be empty.

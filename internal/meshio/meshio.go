@@ -152,8 +152,8 @@ func Write(out io.Writer, m *mesh.Mesh) error {
 	return w.w.Flush()
 }
 
-// Read deserializes a snapshot written by Write and reconstructs all
-// derived state (edge lookup map, counters).
+// Read deserializes a snapshot written by Write and recounts the derived
+// active-object counters.
 func Read(in io.Reader) (*mesh.Mesh, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	if r.u32() != magic {

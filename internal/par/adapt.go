@@ -295,14 +295,13 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 		clk.Add(r, float64(bisect[r])*mdl.BisectEdge)
 	}
 	// Subdivision work goes to the element's owner, one unit per child.
-	childCount := [4]int64{0, 2, 4, 8}
 	children := d.perRankCounts(0, nElems0, func(i int, cnt []int64, _ *[]int32) {
 		t := &m.Elems[i]
 		if !t.Active() {
 			return
 		}
 		if p := d.patternOf(a, t); p != 0 {
-			cnt[d.OwnerOf(mesh.ElemID(i))] += childCount[p.Kind()]
+			cnt[d.OwnerOf(mesh.ElemID(i))] += int64(p.Kind().Children())
 		}
 	})
 	for r := 0; r < d.P; r++ {
@@ -339,21 +338,47 @@ func (d *Dist) ParallelRefine(a *adapt.Adaptor, mdl machine.Model) (adapt.Refine
 // endpoint SPLs intersect in more than one rank contributes a two-word
 // query (edge id + verdict) per ordered rank pair. The raw contributions
 // merge in chunk order; AggregatePairs puts them in canonical charge
-// order.
+// order. A vertex typically ends several new edges, so the endpoint SPLs
+// are computed once per vertex into a table first.
 func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 	m := d.M
 	n := len(m.Edges) - edgesBefore
+	classified := func(ed *mesh.Edge) bool {
+		return !ed.Dead && ed.Parent == mesh.InvalidEdge // half-edges inherit their parent's SPL (case 2)
+	}
+	// row[v] first flags the endpoints of classified edges, then holds
+	// v's row in the table (rows follow vertex order), or -1 when no
+	// classified edge ends at v.
+	row := make([]int32, len(m.Verts))
+	for i := edgesBefore; i < len(m.Edges); i++ {
+		if ed := &m.Edges[i]; classified(ed) {
+			row[ed.V[0]], row[ed.V[1]] = 1, 1
+		}
+	}
+	var verts []mesh.VertID
+	for v := range row {
+		if row[v] == 0 {
+			row[v] = -1
+			continue
+		}
+		row[v] = int32(len(verts))
+		verts = append(verts, mesh.VertID(v))
+	}
+	off, spl := d.vertSPLTable(verts)
+	splOf := func(v mesh.VertID) []int32 {
+		r := row[v]
+		return spl[off[r]:off[r+1]]
+	}
+
 	return chunk.Gather(n, EffectiveWorkers(n, d.Workers), func(lo, hi int) []propagate.PairWords {
 		var out []propagate.PairWords
-		var s0, s1, inter []int32
+		var inter []int32
 		for i := lo; i < hi; i++ {
 			ed := &m.Edges[edgesBefore+i]
-			if ed.Dead || ed.Parent != mesh.InvalidEdge {
-				continue // half-edges inherit their parent's SPL (case 2)
+			if !classified(ed) {
+				continue
 			}
-			s0 = d.VertSPL(ed.V[0], s0)
-			s1 = d.VertSPL(ed.V[1], s1)
-			inter = intersectSorted(inter[:0], s0, s1)
+			inter = intersectSorted(inter[:0], splOf(ed.V[0]), splOf(ed.V[1]))
 			if len(inter) <= 1 {
 				continue // internal edge (cases 1 and 3)
 			}
@@ -361,6 +386,41 @@ func (d *Dist) classifyPairs(edgesBefore int) []propagate.PairWords {
 		}
 		return out
 	})
+}
+
+// vertSPLTable computes the SPLs of verts with a chunked scan and returns
+// them as one table: row i is spl[off[i]:off[i+1]]. Chunks fill private
+// parts that are joined in chunk order, so the table is the same at every
+// worker count.
+func (d *Dist) vertSPLTable(verts []mesh.VertID) (off, spl []int32) {
+	type part struct{ end, spl []int32 }
+	n := len(verts)
+	w := EffectiveWorkers(n, d.Workers)
+	parts := make([]part, chunk.Count(n, w))
+	chunk.For(n, w, func(c, lo, hi int) {
+		var p part
+		var buf []int32
+		for _, v := range verts[lo:hi] {
+			buf = d.VertSPL(v, buf)
+			p.spl = append(p.spl, buf...)
+			p.end = append(p.end, int32(len(p.spl)))
+		}
+		parts[c] = p
+	})
+	total := 0
+	for _, p := range parts {
+		total += len(p.spl)
+	}
+	off = make([]int32, 1, n+1)
+	spl = make([]int32, 0, total)
+	for _, p := range parts {
+		base := int32(len(spl))
+		for _, e := range p.end {
+			off = append(off, base+e)
+		}
+		spl = append(spl, p.spl...)
+	}
+	return off, spl
 }
 
 // ParallelCoarsen executes one coarsening pass with per-rank attribution:

@@ -8,6 +8,7 @@ import (
 	"plum/internal/dual"
 	"plum/internal/geom"
 	"plum/internal/machine"
+	"plum/internal/mesh"
 	"plum/internal/meshgen"
 	"plum/internal/partition"
 	"plum/internal/propagate"
@@ -180,5 +181,39 @@ func TestAggregatedBatchesMessages(t *testing.T) {
 	if agg.CoarsenTm.Words != bulk.CoarsenTm.Words {
 		t.Errorf("coarsen word volume must be backend-invariant: %d vs %d",
 			agg.CoarsenTm.Words, bulk.CoarsenTm.Words)
+	}
+}
+
+// TestClassifyPairsMatchesPerEdgeSPL pins the per-vertex SPL table of
+// classifyPairs against the direct form, which computes both endpoint
+// SPLs afresh for every classified edge, at workers 1 and 4.
+func TestClassifyPairsMatchesPerEdgeSPL(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		d, a := adaptFixture(t, 8, w, nil)
+		a.MarkRandom(0.25, adapt.MarkRefine, 97)
+		edgesBefore := len(d.M.Edges)
+		a.Refine()
+
+		var want []propagate.PairWords
+		var s0, s1, inter []int32
+		for i := edgesBefore; i < len(d.M.Edges); i++ {
+			ed := &d.M.Edges[i]
+			if ed.Dead || ed.Parent != mesh.InvalidEdge {
+				continue
+			}
+			s0 = d.VertSPL(ed.V[0], s0)
+			s1 = d.VertSPL(ed.V[1], s1)
+			inter = intersectSorted(inter[:0], s0, s1)
+			if len(inter) > 1 {
+				want = propagate.PairsFromSPL(want, inter, 2)
+			}
+		}
+		got := d.classifyPairs(edgesBefore)
+		if len(want) == 0 {
+			t.Fatal("fixture classifies no shared edges")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: classifyPairs gives %d contributions, per-edge reference %d (or they differ)", w, len(got), len(want))
+		}
 	}
 }
