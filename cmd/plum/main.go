@@ -177,6 +177,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Parts are unions of dual vertices, so more parts than vertices
+	// leaves some empty. The warning goes to stderr only; stdout, the
+	// trace and the metrics do not change.
+	if parts := cfg.P * cfg.F; parts > fw.G.N {
+		fmt.Fprintf(os.Stderr, "plum: warning: P·F = %d parts exceed the %d dual vertices; %d parts must stay empty\n",
+			parts, fw.G.N, parts-fw.G.N)
+	}
 	fmt.Printf("mesh: %s\n", m.Stats())
 	refName := cfg.Refiner
 	if refName == "" {

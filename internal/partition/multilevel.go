@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"slices"
 
 	"plum/internal/dual"
 	"plum/internal/geom"
@@ -21,8 +20,12 @@ func Multilevel(g *dual.Graph, k int) Assignment {
 // multilevelCounted is Multilevel with op accounting: the matching and
 // edge-collapse work of every coarsening level, the spectral solve on the
 // coarsest graph, and the projection plus boundary refinement of every
-// uncoarsening level. The scheme itself is serial (only the configured
-// refiner's passes may parallelize, on levels big enough to engage it).
+// uncoarsening level. A coarsening level that contracts a graph into n_c
+// vertices joined by E_c edges is charged 2·Σ(1+deg) + 2·E_c + n_c: one
+// Σ(1+deg) scan for the matching and one for the row build, then one op
+// per transposed entry and one per coarse row. The scheme itself is
+// serial (only the configured refiner's passes may parallelize, on
+// levels big enough to engage it).
 // opt.Seed offsets the per-level matching RNG; seed 1 reproduces the
 // historical level-index seeding.
 func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
@@ -49,8 +52,9 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
 	}
 	levels := []level{{g: g}}
 	cur := g
+	sc := newCoarsenScratch(g)
 	for cur.N > target {
-		cg, cmap, cops := coarsenCounted(cur, seed-1+int64(len(levels)))
+		cg, cmap, cops := coarsenCounted(cur, seed-1+int64(len(levels)), sc)
 		ops.AddSerial(cops)
 		if cg.N >= cur.N*9/10 {
 			break // matching stalled; stop coarsening
@@ -79,22 +83,46 @@ func multilevelCounted(g *dual.Graph, k int, opt Options) (Assignment, Ops) {
 	return asg, ops
 }
 
-// coarsenCounted contracts a random maximal matching of g, returning the
-// coarse graph, the fine→coarse vertex map, and the op count of the
-// matching plus edge collapse. Matched pairs merge their weights;
-// parallel coarse edges are collapsed.
-func coarsenCounted(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
+// coarsenScratch holds coarsenCounted's work arrays. multilevelCounted
+// sizes it once for the finest graph and reuses it on every coarser
+// level: a level never has more vertices, or more adjacency entries, than
+// the level it was contracted from.
+type coarsenScratch struct {
+	mem  []int32 // fine members of coarse vertex c: mem[2c], mem[2c+1] (-1 = none)
+	mark []int32 // row dedup marker: mark[cw] == c once cw is in row c
+	off  []int32 // row c of rows is rows[off[c]:off[c+1]]
+	cur  []int32 // transpose write cursor per coarse row
+	rows []int32 // unsorted coarse rows, back to back
+}
+
+func newCoarsenScratch(g *dual.Graph) *coarsenScratch {
+	deg := 0
+	for _, a := range g.Adj {
+		deg += len(a)
+	}
+	return &coarsenScratch{
+		mem:  make([]int32, 2*g.N),
+		mark: make([]int32, g.N),
+		off:  make([]int32, g.N+1),
+		cur:  make([]int32, g.N),
+		rows: make([]int32, deg),
+	}
+}
+
+// coarsenCounted contracts a random maximal matching of the symmetric
+// graph g, returning the coarse graph, the fine→coarse vertex map, and
+// the op count of the matching plus edge collapse. Matched pairs merge
+// their weights; parallel coarse edges are collapsed. sc must come from
+// newCoarsenScratch on g or on a graph g was contracted from.
+func coarsenCounted(g *dual.Graph, seed int64, sc *coarsenScratch) (*dual.Graph, []int32, int64) {
 	var ops int64
 	rng := rand.New(rand.NewSource(seed))
 	order := rng.Perm(g.N)
-	match := make([]int32, g.N)
-	for i := range match {
-		match[i] = -1
-	}
 	cmap := make([]int32, g.N)
 	for i := range cmap {
 		cmap[i] = -1
 	}
+	mem := sc.mem
 	var nc int32
 	for _, vi := range order {
 		v := int32(vi)
@@ -116,8 +144,8 @@ func coarsenCounted(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
 		cmap[v] = nc
 		if best >= 0 {
 			cmap[best] = nc
-			match[v] = best
 		}
+		mem[2*nc], mem[2*nc+1] = v, best
 		nc++
 	}
 
@@ -129,47 +157,62 @@ func coarsenCounted(g *dual.Graph, seed int64) (*dual.Graph, []int32, int64) {
 		EdgeWeight: g.EdgeWeight,
 		Centroid:   make([]geom.Vec3, nc),
 	}
-	cnt := make([]float64, nc)
-	for v := 0; v < g.N; v++ {
-		c := cmap[v]
-		cg.Wcomp[c] += g.Wcomp[v]
-		cg.Wremap[c] += g.Wremap[v]
-		cg.Centroid[c] = cg.Centroid[c].Add(g.Centroid[v])
-		cnt[c]++
+	// Build each coarse row from its members' adjacency, skipping
+	// self-loops and deduplicating through the marker array. Each
+	// centroid sum starts from the zero vector, as a running sum over the
+	// fine vertices would (a -0 coordinate becomes +0), and IEEE addition
+	// commutes, so the member order cannot change a bit of the result.
+	mark, off, rows := sc.mark[:nc], sc.off, sc.rows
+	for i := range mark {
+		mark[i] = -1
 	}
-	for c := range cg.Centroid {
-		if cnt[c] > 0 {
-			cg.Centroid[c] = cg.Centroid[c].Scale(1 / cnt[c])
+	var n int32
+	for c := int32(0); c < nc; c++ {
+		v, u := mem[2*c], mem[2*c+1]
+		cg.Wcomp[c] = g.Wcomp[v]
+		cg.Wremap[c] = g.Wremap[v]
+		cg.Centroid[c] = geom.Vec3{}.Add(g.Centroid[v])
+		if u >= 0 {
+			cg.Wcomp[c] += g.Wcomp[u]
+			cg.Wremap[c] += g.Wremap[u]
+			cg.Centroid[c] = cg.Centroid[c].Add(g.Centroid[u]).Scale(0.5)
 		}
-	}
-	// Coarse-edge dedup via sorted packed pairs instead of a per-level
-	// map: each undirected coarse edge appears once per endpoint in the
-	// scan; one sort-and-compact collapses the duplicates with no hashing
-	// and no per-level map reallocation.
-	pairs := make([]uint64, 0, 2*g.N)
-	for v := 0; v < g.N; v++ {
-		cv := cmap[v]
-		ops += 1 + int64(len(g.Adj[v]))
-		for _, w := range g.Adj[v] {
-			cw := cmap[w]
-			if cv == cw {
+		for _, x := range mem[2*c : 2*c+2] {
+			if x < 0 {
 				continue
 			}
-			a, b := cv, cw
-			if a > b {
-				a, b = b, a
+			ops += 1 + int64(len(g.Adj[x]))
+			for _, w := range g.Adj[x] {
+				cw := cmap[w]
+				if cw == c || mark[cw] == c {
+					continue
+				}
+				mark[cw] = c
+				rows[n] = cw
+				n++
 			}
-			pairs = append(pairs, uint64(uint32(a))<<32|uint64(uint32(b)))
+		}
+		off[c+1] = n
+	}
+	// Transpose once: walking c ascending and appending c to each of its
+	// neighbours' rows leaves every row sorted, and because g is
+	// symmetric row w of the transpose holds exactly the entries of row
+	// w, so it fits the same offsets.
+	flat := make([]int32, n)
+	cur := sc.cur[:nc]
+	copy(cur, off[:nc])
+	for c := int32(0); c < nc; c++ {
+		for _, w := range rows[off[c]:off[c+1]] {
+			flat[cur[w]] = c
+			cur[w]++
 		}
 	}
-	slices.Sort(pairs)
-	pairs = slices.Compact(pairs)
-	ops += int64(len(pairs))*int64(log2ceil(len(pairs)+1)) + int64(len(pairs))
-	for _, pq := range pairs {
-		a, b := int32(pq>>32), int32(uint32(pq))
-		cg.Adj[a] = append(cg.Adj[a], b)
-		cg.Adj[b] = append(cg.Adj[b], a)
+	for c := int32(0); c < nc; c++ {
+		if lo, hi := off[c], off[c+1]; hi > lo {
+			cg.Adj[c] = flat[lo:hi:hi]
+		}
 	}
+	ops += int64(n) + int64(nc)
 	return cg, cmap, ops
 }
 
